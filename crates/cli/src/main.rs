@@ -67,29 +67,11 @@ COMMANDS:
              and exit nonzero on regressions beyond the threshold
                kgtosa trace-diff OLD NEW [--threshold 25]
                [--min-seconds 0.001]
-  trace-trend
-             Gate a new run against the rolling-window median of the
-             perf-history ledger (results/history.jsonl); exits nonzero
-             on regressions, passes when the ledger is empty
-               kgtosa trace-trend HISTORY NEW [--window 10]
-               [--threshold 25] [--min-seconds 0.001]
-             With --compact, rewrite the ledger in place instead,
-             keeping only the newest records per (kernel, threads) key
-             so rolling medians are unaffected
-               kgtosa trace-trend --compact HISTORY [--cap 64]
   trace-validate
              Load-validate a Chrome-trace JSON file (as written by
              --chrome-out): schema, per-track span nesting discipline,
              counter tracks; exits nonzero on malformed traces
                kgtosa trace-validate trace.json
-  prof       Profiler utilities
-               kgtosa prof flame run.folded > flame.svg
-             renders a collapsed-stack file (from --prof-out) as a
-             self-contained SVG flamegraph
-  report     Fold a JSONL trace into a single-file HTML run report (span
-             tree with self-time %, hot spans, flamegraph, metrics,
-             extraction quality, Table IV cost breakdown)
-               kgtosa report trace.jsonl [--out report.html]
   help       Show this message
 
 GLOBAL OPTIONS (any command):
@@ -122,8 +104,9 @@ GLOBAL OPTIONS (any command):
   --prof-out FILE    Arm the profiler (span-stack mirroring plus a
                      KGTOSA_PROF_HZ sampling tick, default 97 Hz; 0
                      disables the tick) and write collapsed stacks to
-                     FILE at exit — feed it to `kgtosa prof flame`;
-                     setting KGTOSA_PROF_HZ alone also arms the profiler
+                     FILE at exit (the `stack;stack count` format read
+                     by inferno, speedscope and flamegraph.pl); setting
+                     KGTOSA_PROF_HZ alone also arms the profiler
   --quiet            Silence progress chatter on stderr (result lines on
                      stdout are unaffected)
 
@@ -256,10 +239,7 @@ fn main() {
             "cache" => commands::cache(&args),
             "trace-summary" => commands::trace_summary(&args),
             "trace-diff" => commands::trace_diff(&args),
-            "trace-trend" => commands::trace_trend(&args),
             "trace-validate" => commands::trace_validate(&args),
-            "prof" => commands::prof(&args),
-            "report" => commands::report(&args),
             "help" | "" | "--help" | "-h" => {
                 println!("{USAGE}");
                 Ok(())

@@ -5,8 +5,8 @@
 //! wall-clock overhead budget.
 //!
 //! Single `#[test]`: the timing loop must not share cores with sibling
-//! tests in the same binary, and the contexted/uncontexted ordering is
-//! fixed so the warm-up covers both sides.
+//! tests in the same binary. Plain and contexted reps alternate, so a
+//! drift in CPU speed or steal time lands on both sides alike.
 
 use std::time::Instant;
 
@@ -69,28 +69,30 @@ fn contexts_are_bit_invisible_and_cheap() {
     };
 
     const REPS: usize = 5;
-    let time_min = |ctx: Option<&TelemetryContext>| -> (f64, TrainReport) {
-        let mut best = f64::INFINITY;
-        let mut last = None;
-        for _ in 0..REPS {
-            let _scope = ctx.map(|c| c.enter());
-            let start = Instant::now();
-            let report = train_once(&data);
-            best = best.min(start.elapsed().as_secs_f64());
-            last = Some(report);
-        }
-        (best, last.expect("at least one rep"))
+    let timed = |ctx: Option<&TelemetryContext>| -> (f64, TrainReport) {
+        let _scope = ctx.map(|c| c.enter());
+        let start = Instant::now();
+        let report = train_once(&data);
+        (start.elapsed().as_secs_f64(), report)
     };
 
     // Warm-up rep so allocator/page-cache effects hit neither side.
     let _ = train_once(&data);
 
-    assert!(!kgtosa_obs::context_active(), "no context may be live at baseline time");
-    let (base_s, base) = time_min(None);
-
     let ctx = TelemetryContext::new("ctx-differential");
-    let (ctx_s, contexted) = time_min(Some(&ctx));
+    let (mut base_s, mut ctx_s) = (f64::INFINITY, f64::INFINITY);
+    let (mut base, mut contexted) = (None, None);
+    for _ in 0..REPS {
+        assert!(!kgtosa_obs::context_active(), "no context may be live at baseline time");
+        let (s, report) = timed(None);
+        base_s = base_s.min(s);
+        base = Some(report);
+        let (s, report) = timed(Some(&ctx));
+        ctx_s = ctx_s.min(s);
+        contexted = Some(report);
+    }
     ctx.finish();
+    let (base, contexted) = (base.expect("at least one rep"), contexted.expect("at least one rep"));
 
     // The context actually captured the runs — probe, not vibes: every
     // contexted epoch's counter bump and every probe span landed in the

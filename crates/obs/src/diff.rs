@@ -8,6 +8,8 @@
 //! the format is auto-detected, so the same gate covers both the tracing
 //! pipeline and the kernel benchmarks.
 
+use std::fmt::Write as _;
+
 use crate::json::Json;
 use crate::summary::{summarize_jsonl, SpanAgg};
 
@@ -124,6 +126,50 @@ impl DiffReport {
         if !self.only_new.is_empty() {
             out.push_str(&format!("only in new run:  {}\n", self.only_new.join(", ")));
         }
+        out
+    }
+
+    /// Markdown version of [`render`](Self::render), headed by `title` —
+    /// what `trace-diff` appends to the GitHub step summary.
+    pub fn render_markdown(&self, title: &str) -> String {
+        let mut out = String::new();
+        let _ = writeln!(out, "### {title}\n");
+        let _ = writeln!(
+            out,
+            "| span | old (s) | new (s) | Δ% | old peak | new peak | status |"
+        );
+        let _ = writeln!(out, "|---|---:|---:|---:|---:|---:|---|");
+        for r in &self.rows {
+            let status = if r.regressed.is_empty() {
+                "ok".to_string()
+            } else {
+                format!("**REGRESSED ({})**", r.regressed.join(", "))
+            };
+            let _ = writeln!(
+                out,
+                "| `{}` | {:.4} | {:.4} | {:+.1} | {} | {} | {} |",
+                r.name,
+                r.old_s,
+                r.new_s,
+                r.delta_pct,
+                kgtosa_memtrack::format_bytes(r.old_peak),
+                kgtosa_memtrack::format_bytes(r.new_peak),
+                status,
+            );
+        }
+        if !self.only_old.is_empty() {
+            let _ = writeln!(out, "\nonly in baseline: {}", self.only_old.join(", "));
+        }
+        if !self.only_new.is_empty() {
+            let _ = writeln!(out, "\nonly in new run: {}", self.only_new.join(", "));
+        }
+        let n = self.regressions();
+        let _ = writeln!(
+            out,
+            "\n{} — threshold {:.0}%",
+            if n == 0 { "**no regressions**".to_string() } else { format!("**{n} regression(s)**") },
+            self.threshold_pct,
+        );
         out
     }
 }
@@ -302,6 +348,18 @@ mod tests {
         let table = report.render();
         assert!(table.contains("only in baseline: gone"));
         assert!(table.contains("only in new run:  fresh"));
+    }
+
+    #[test]
+    fn markdown_table_renders() {
+        let old = vec![agg("a", 1.0, 0, 0)];
+        let new = vec![agg("a", 2.0, 0, 0)];
+        let report = diff_spans(&old, &new, &DiffOptions::default());
+        let md = report.render_markdown("kernel trend");
+        assert!(md.contains("### kernel trend"));
+        assert!(md.contains("| `a` |"));
+        assert!(md.contains("REGRESSED (wall)"));
+        assert!(md.contains("**1 regression(s)**"));
     }
 
     #[test]

@@ -25,7 +25,14 @@
 //!   `/progress` as JSON while a job runs.
 //! * **Regression diffing** — [`diff_trace_texts`] compares two JSONL
 //!   traces or `BENCH_*.json` reports per span on wall time, peak heap,
-//!   and allocations; `kgtosa trace-diff` and the CI gate sit on top.
+//!   and allocations; `kgtosa trace-diff` against the committed
+//!   `BENCH_*.json` snapshots is the one perf gate, and
+//!   [`DiffReport::render_markdown`] feeds its CI step summary.
+//! * **Cost attribution** — [`self_times`] splits every span's wall time
+//!   into self and child time (summing back to the root wall), served
+//!   live at `/prof`; [`enable_prof`] adds a sampling tick, and
+//!   [`write_folded`] (`--prof-out`) writes collapsed stacks for any
+//!   external flamegraph tool.
 //! * **Sinks** — a machine-readable JSONL event stream (enabled with
 //!   `--trace-out` or `KGTOSA_TRACE=<path>`) and a human-readable stderr
 //!   summary tree ([`render_summary_tree`]).
@@ -36,8 +43,9 @@
 //!   span tree and scoped instrument deltas over the global registry;
 //!   workers inherit the spawning context across thread boundaries, so
 //!   concurrent requests stay attributable. The Chrome-trace exporter
-//!   ([`arm_chrome`] / [`write_chrome_trace`]) renders contexts as
-//!   Perfetto process tracks, and the SLO watchdog
+//!   ([`arm_chrome`] / [`write_chrome_trace`]), the one rich export,
+//!   renders contexts as Perfetto process tracks (Perfetto also draws
+//!   flame charts from it), and the SLO watchdog
 //!   ([`parse_slo_spec`] / [`start_slo_watchdog`]) enforces declarative
 //!   per-context latency/retry/completeness/cache-hit requirements.
 //!
@@ -48,13 +56,10 @@
 mod chrome;
 mod context;
 mod diff;
-mod flame;
-mod history;
 pub mod httpd;
 mod json;
 mod panic_hook;
 mod prof;
-mod report;
 mod progress;
 mod prometheus;
 mod registry;
@@ -74,14 +79,9 @@ pub use context::{
     TelemetryContext,
 };
 pub use diff::{diff_spans, diff_trace_texts, parse_trace_or_bench, DiffOptions, DiffReport, DiffRow};
-pub use flame::render_flame_svg;
 pub use httpd::{
     builtin_route, read_request, write_response, HttpRequest, HttpResponse, RequestError,
     MAX_BODY_BYTES, MAX_HEAD_BYTES,
-};
-pub use history::{
-    append_record, baseline_from_window, compact_history, current_git_rev, load_history,
-    render_markdown, trend_against_history, CompactReport, HistoryRecord, TrendReport,
 };
 pub use json::Json;
 pub use prof::{
@@ -89,7 +89,6 @@ pub use prof::{
     registry_aggs, render_folded, reset_prof_samples, sample_ticks, samples_folded, self_times,
     write_folded, SelfTime, DEFAULT_PROF_HZ,
 };
-pub use report::{render_html_report, table_iv_phase};
 pub use progress::{
     emit_heartbeat, progress_json, progress_snapshot, progress_task, reset_progress,
     start_heartbeat, start_heartbeat_from_env, Progress, ProgressSnapshot,

@@ -19,7 +19,7 @@
 //!
 //! The collapsed-stack output ([`write_folded`] / [`samples_folded`]) is
 //! the `stack;stack;stack count` format consumed by every flamegraph
-//! tool, including the dependency-free renderer in [`crate::flame`].
+//! tool (inferno, speedscope, `flamegraph.pl`).
 
 use std::cell::RefCell;
 use std::collections::HashMap;

@@ -1,22 +1,20 @@
 //! End-to-end profiler contract: real nested spans → JSONL trace →
-//! self-time attribution that telescopes to the root wall, an HTML run
-//! report, and a collapsed-stack → SVG flamegraph round trip.
+//! self-time attribution that telescopes to the root wall, and
+//! well-formed collapsed stacks from `write_folded`.
 //!
 //! Single `#[test]` on purpose: the trace sink is a process-global
 //! one-shot, so the whole pipeline is exercised in one pass.
 
 use std::time::Duration;
 
-use kgtosa_obs::{
-    render_flame_svg, render_html_report, self_times, span, summarize_jsonl, write_folded,
-};
+use kgtosa_obs::{self_times, span, summarize_jsonl, write_folded};
 
 fn busy(ms: u64) {
     std::thread::sleep(Duration::from_millis(ms));
 }
 
 #[test]
-fn trace_to_report_and_flamegraph() {
+fn trace_to_self_times_and_folded_stacks() {
     let dir = std::env::temp_dir().join(format!("kgtosa-prof-e2e-{}", std::process::id()));
     std::fs::create_dir_all(&dir).expect("temp dir");
     let trace_path = dir.join("run.jsonl");
@@ -71,21 +69,8 @@ fn trace_to_report_and_flamegraph() {
     let extract = rows.iter().find(|r| r.name.ends_with("extract")).unwrap();
     assert!(extract.self_s < extract.total_s, "extract has children: {extract:?}");
 
-    // HTML report: self-contained, carries the headline sections.
-    let html = render_html_report(&trace, "prof_e2e").expect("render report");
-    for needle in [
-        "<!doctype html>",
-        "Cost breakdown",
-        "Hot spans",
-        "Span tree",
-        "<svg",
-    ] {
-        assert!(html.contains(needle), "report missing {needle:?}");
-    }
-    assert!(!html.contains("<script"), "report must be script-free");
-
-    // Collapsed stacks (from the registry aggregates, sampler off) round-
-    // trip through the SVG renderer.
+    // Collapsed stacks (from the registry aggregates, sampler off): one
+    // `frames count` line per span with self time.
     let folded_path = dir.join("run.folded");
     write_folded(folded_path.to_str().unwrap()).expect("write folded");
     let folded = std::fs::read_to_string(&folded_path).expect("read folded");
@@ -94,9 +79,7 @@ fn trace_to_report_and_flamegraph() {
         let (_stack, count) = line.rsplit_once(' ').expect("`frames count` shape");
         count.parse::<u64>().expect("count is integral");
     }
-    let svg = render_flame_svg(&folded, "prof_e2e").expect("render svg");
-    assert!(svg.starts_with("<svg") || svg.starts_with("<?xml"), "svg header");
-    assert!(svg.contains("pipeline"), "flamegraph shows the root frame");
+    assert!(folded.contains("pipeline"), "folded stacks show the root frame");
 
     std::fs::remove_dir_all(&dir).ok();
 }
