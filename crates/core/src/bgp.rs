@@ -117,6 +117,11 @@ pub struct Subquery {
 /// For every target class: one subquery per direction sequence. For LP
 /// tasks, one extra subquery per class pair collects the `p_T` connecting
 /// triples (`⟨?v_Ti, p_T, ?v_Tj⟩`, §IV-C).
+///
+/// Multi-hop branches are `SELECT DISTINCT`: many paths reach the same
+/// last-hop triple, and the fetcher deduplicates triples anyway, so
+/// `DISTINCT` changes no extraction while it lets the engine evaluate the
+/// intermediate vertices as a set rather than one row per path.
 pub fn compile_subqueries(task: &ExtractionTask, pattern: &GraphPattern) -> Vec<Subquery> {
     let mut out = Vec::new();
     for class in &task.target_classes {
@@ -125,7 +130,7 @@ pub fn compile_subqueries(task: &ExtractionTask, pattern: &GraphPattern) -> Vec<
             let (s, p, o) = branch_triple_vars(&seq);
             let query = Query {
                 select: Selection::Vars(vec![s.clone(), p.clone(), o.clone()]),
-                distinct: false,
+                distinct: seq.len() > 1,
                 group: Group::of_patterns(patterns),
                 limit: None,
                 offset: None,
@@ -216,6 +221,14 @@ mod tests {
         let q = subs[1].query.to_string();
         assert!(q.contains("?v0 ?p0 ?v1"), "{q}");
         assert!(q.contains("?v1 ?p ?o_end"), "{q}");
+    }
+
+    #[test]
+    fn only_multi_hop_branches_are_distinct() {
+        let subs = compile_subqueries(&nc_task(), &GraphPattern::D2H2);
+        let distinct: Vec<bool> = subs.iter().map(|sq| sq.query.distinct).collect();
+        assert_eq!(distinct, [false, false, true, true, true, true]);
+        assert!(subs[2].query.to_string().starts_with("SELECT DISTINCT "));
     }
 
     #[test]

@@ -6,11 +6,102 @@
 use proptest::prelude::*;
 
 use kgtosa_core::{
-    extract_brw, extract_ibs, extract_sparql, ExtractionTask, GraphPattern,
+    compile_subqueries, extract_brw, extract_ibs, extract_sparql, parent_triples, ExtractionTask,
+    GraphPattern,
 };
 use kgtosa_kg::{quality, FxHashSet, HeteroGraph, KnowledgeGraph, Vid};
-use kgtosa_rdf::{FetchConfig, RdfStore};
+use kgtosa_rdf::{fetch_triples, FetchConfig, InProcessEndpoint, RdfStore};
 use kgtosa_sampler::{IbsConfig, WalkConfig};
+
+/// Marks an `rdf:type` edge in [`direct_expansion`]'s RDF view.
+const TYPE: u32 = u32::MAX;
+
+/// Direct expansion of a `d{1,2}h{hops}` pattern: walks every branch's
+/// hops from the targets over the RDF view of the KG (its data triples
+/// plus an `rdf:type` edge from each vertex to its class vertex `N + c`,
+/// the same view the branches query) and keeps the data triples a last
+/// hop matches. A level-L branch's last hop leaves a frontier reached by
+/// L−1 hops, outgoing only for d1, either way for d2.
+fn direct_expansion(
+    kg: &KnowledgeGraph,
+    targets: &[Vid],
+    hops: usize,
+    both: bool,
+) -> Vec<[u32; 3]> {
+    let n = kg.num_nodes() as u32;
+    let mut edges: Vec<[u32; 3]> = kg.triples().iter().map(|t| t.raw()).collect();
+    edges.extend((0..n).map(|v| [v, TYPE, n + kg.class_of(Vid(v)).raw()]));
+    fn expand(
+        edges: &[[u32; 3]],
+        frontier: &FxHashSet<u32>,
+        hops_left: usize,
+        both: bool,
+        out: &mut Vec<[u32; 3]>,
+    ) {
+        let leaves = |e: &[u32; 3]| frontier.contains(&e[0]);
+        let enters = |e: &[u32; 3]| both && frontier.contains(&e[2]);
+        out.extend(
+            edges
+                .iter()
+                .filter(|e| e[1] != TYPE && (leaves(e) || enters(e))),
+        );
+        if hops_left > 1 {
+            let next: FxHashSet<u32> = edges.iter().filter(|e| leaves(e)).map(|e| e[2]).collect();
+            expand(edges, &next, hops_left - 1, both, out);
+            if both {
+                let next: FxHashSet<u32> =
+                    edges.iter().filter(|e| enters(e)).map(|e| e[0]).collect();
+                expand(edges, &next, hops_left - 1, both, out);
+            }
+        }
+    }
+    let frontier: FxHashSet<u32> = targets.iter().map(|v| v.raw()).collect();
+    let mut out = Vec::new();
+    expand(&edges, &frontier, hops, both, &mut out);
+    out.sort_unstable();
+    out.dedup();
+    out
+}
+
+/// An extraction's triples in parent ids, sorted.
+fn extracted_raw(kg: &KnowledgeGraph, sub: &kgtosa_kg::InducedSubgraph) -> Vec<[u32; 3]> {
+    let mut got: Vec<[u32; 3]> = parent_triples(kg, sub).iter().map(|t| t.raw()).collect();
+    got.sort_unstable();
+    got
+}
+
+/// Algorithm 3's endpoint work on d2h2 is bounded by its output: the
+/// rows the endpoint returns stay within 5× the TOSG's triples on MAG at
+/// scale 0.1 (3.7× measured with frontier evaluation; 124× when every
+/// path through an intermediate vertex was its own row). Rows, not wall
+/// time, so the bound is deterministic.
+#[test]
+fn d2h2_endpoint_rows_are_bounded_by_output_triples() {
+    let d = kgtosa_datagen::mag(0.1, 7);
+    let kg = &d.gen.kg;
+    let nc = &d.nc[0];
+    let task = ExtractionTask::node_classification(&nc.name, &nc.target_class, nc.targets());
+    let store = RdfStore::new(kg);
+    let ep = InProcessEndpoint::new(&store);
+    let mut triples = Vec::new();
+    for sq in compile_subqueries(&task, &GraphPattern::D2H2) {
+        let (s, p, o) = &sq.triple_vars;
+        let cfg = FetchConfig::default();
+        triples.extend(fetch_triples(&ep, &store, &[sq.query], (s, p, o), &cfg).unwrap());
+    }
+    triples.sort_unstable();
+    triples.dedup();
+    let res = extract_sparql(&store, &task, &GraphPattern::D2H2, &FetchConfig::default()).unwrap();
+    let mut expect = parent_triples(kg, &res.subgraph);
+    expect.sort_unstable();
+    assert_eq!(triples, expect, "same triples as extract_sparql");
+    let rows = ep.stats().rows();
+    assert!(
+        rows <= 5 * triples.len(),
+        "{rows} endpoint rows for {} output triples",
+        triples.len()
+    );
+}
 
 /// Random KG with a designated target class `T` guaranteed non-empty.
 fn arb_task_kg() -> impl Strategy<Value = (KnowledgeGraph, ExtractionTask)> {
@@ -129,6 +220,27 @@ proptest! {
         }).collect();
         got.sort_unstable();
         prop_assert_eq!(got, expect);
+    }
+
+    /// The SPARQL d1h2 extraction equals the direct two-hop outgoing
+    /// expansion, walking through `rdf:type` class vertices like the
+    /// `?v0 ?p0 ?v1` hop does.
+    #[test]
+    fn sparql_d1h2_matches_direct_expansion((kg, task) in arb_task_kg()) {
+        let store = RdfStore::new(&kg);
+        let cfg = FetchConfig { batch_size: 5, threads: 2, ..FetchConfig::default() };
+        let res = extract_sparql(&store, &task, &GraphPattern::D1H2, &cfg).unwrap();
+        prop_assert_eq!(extracted_raw(&kg, &res.subgraph), direct_expansion(&kg, &task.targets, 2, false));
+    }
+
+    /// The SPARQL d2h2 extraction equals the direct two-hop expansion in
+    /// both directions.
+    #[test]
+    fn sparql_d2h2_matches_direct_expansion((kg, task) in arb_task_kg()) {
+        let store = RdfStore::new(&kg);
+        let cfg = FetchConfig { batch_size: 5, threads: 2, ..FetchConfig::default() };
+        let res = extract_sparql(&store, &task, &GraphPattern::D2H2, &cfg).unwrap();
+        prop_assert_eq!(extracted_raw(&kg, &res.subgraph), direct_expansion(&kg, &task.targets, 2, true));
     }
 
     /// KG' is always a subgraph: nodes, triples, classes, relations all

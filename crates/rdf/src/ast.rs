@@ -160,6 +160,10 @@ pub enum Selection {
     Vars(Vec<String>),
     /// `SELECT (COUNT(*) AS ?count)` — a single row with the match count.
     Count,
+    /// `SELECT (COUNT(DISTINCT ?a ?b …) AS ?count)` — a single row with
+    /// the number of rows `SELECT DISTINCT ?a ?b …` returns (unbound cells
+    /// included). The count `getGraphSize` issues for a DISTINCT query.
+    CountDistinct(Vec<String>),
 }
 
 /// A parsed query.
@@ -183,7 +187,7 @@ impl Query {
         match &self.select {
             Selection::All => self.group.variables(),
             Selection::Vars(vs) => vs.clone(),
-            Selection::Count => vec!["count".to_string()],
+            Selection::Count | Selection::CountDistinct(_) => vec!["count".to_string()],
         }
     }
 
@@ -203,13 +207,17 @@ impl fmt::Display for Query {
         if self.distinct {
             write!(f, "DISTINCT ")?;
         }
+        let names = |vs: &[String]| {
+            vs.iter()
+                .map(|v| format!("?{v}"))
+                .collect::<Vec<_>>()
+                .join(" ")
+        };
         match &self.select {
             Selection::All => write!(f, "*")?,
-            Selection::Vars(vs) => {
-                let names: Vec<String> = vs.iter().map(|v| format!("?{v}")).collect();
-                write!(f, "{}", names.join(" "))?;
-            }
+            Selection::Vars(vs) => write!(f, "{}", names(vs))?,
             Selection::Count => write!(f, "(COUNT(*) AS ?count)")?,
+            Selection::CountDistinct(vs) => write!(f, "(COUNT(DISTINCT {}) AS ?count)", names(vs))?,
         }
         write!(f, " WHERE {{ ")?;
         fmt_group(&self.group, f)?;

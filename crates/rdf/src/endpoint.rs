@@ -9,16 +9,20 @@
 //! * [`SparqlEndpoint`] — what Virtuoso's HTTP endpoint provides (here an
 //!   in-process trait so the whole pipeline runs without a network),
 //! * [`InProcessEndpoint`] — parse + plan + execute against an [`RdfStore`],
-//!   with per-request accounting standing in for transfer/compression,
+//!   with per-request accounting standing in for transfer/compression and
+//!   server-side cursors that serve every page of a query from one
+//!   evaluation,
 //! * [`fetch_triples`] — the `initializeWorkers`/`RequestHandler` loop.
 
+use std::collections::HashMap;
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicUsize, Ordering};
+use std::sync::{Arc, Mutex};
 
 use kgtosa_kg::Triple;
 use kgtosa_par::Pool;
 
-use crate::ast::Query;
+use crate::ast::{Query, Selection};
 use crate::checkpoint::FetchCheckpoint;
 use crate::error::RdfError;
 use crate::exec::{ResultSet, SparqlEngine, NULL_ID};
@@ -32,12 +36,19 @@ pub trait SparqlEndpoint: Sync {
     /// Executes a parsed SELECT query.
     fn select(&self, query: &Query) -> Result<ResultSet, RdfError>;
 
-    /// Executes a count of the query's solutions (Algorithm 3's
-    /// `getGraphSize`, used to plan the pagination batches). An empty
-    /// result set means zero solutions, not an error.
+    /// Executes a count of the rows `select(query)` pages through
+    /// (Algorithm 3's `getGraphSize`, used to plan the pagination
+    /// batches): solutions for a plain query, distinct projected rows for
+    /// a `DISTINCT` one. An empty result set means zero rows, not an
+    /// error.
     fn count(&self, query: &Query) -> Result<usize, RdfError> {
         let mut counting = query.clone();
-        counting.select = crate::ast::Selection::Count;
+        counting.select = if query.distinct {
+            Selection::CountDistinct(query.projected_vars())
+        } else {
+            Selection::Count
+        };
+        counting.distinct = false;
         counting.limit = None;
         counting.offset = None;
         let rs = self.select(&counting)?;
@@ -66,6 +77,7 @@ impl<E: SparqlEndpoint + ?Sized> SparqlEndpoint for &E {
 #[derive(Debug, Default)]
 pub struct EndpointStats {
     requests: AtomicUsize,
+    evaluations: AtomicUsize,
     rows: AtomicUsize,
     bytes: AtomicUsize,
 }
@@ -74,6 +86,12 @@ impl EndpointStats {
     /// Number of SELECT requests served.
     pub fn requests(&self) -> usize {
         self.requests.load(Ordering::Relaxed)
+    }
+
+    /// Number of query evaluations the engine ran. A paged query is
+    /// evaluated once for all its pages, so this is at most `requests()`.
+    pub fn evaluations(&self) -> usize {
+        self.evaluations.load(Ordering::Relaxed)
     }
 
     /// Total solution rows returned.
@@ -101,9 +119,18 @@ impl EndpointStats {
 }
 
 /// An endpoint executing queries directly against an in-memory store.
+///
+/// A paged query (one with `LIMIT` or `OFFSET`) opens a server-side
+/// cursor: the first page evaluates the query without its pagination and
+/// holds the projected result, keyed by that unpaged query text; every
+/// page, including the first, is a slice of it. Serving a short page (fewer
+/// rows than `LIMIT`) closes the cursor, so a subquery paged to exhaustion
+/// leaves nothing behind. A fetch abandoned mid-way leaves its cursor open
+/// until the endpoint is dropped.
 pub struct InProcessEndpoint<'s, 'kg> {
     store: &'s RdfStore<'kg>,
     stats: EndpointStats,
+    cursors: Mutex<HashMap<String, Arc<ResultSet>>>,
 }
 
 impl<'s, 'kg> InProcessEndpoint<'s, 'kg> {
@@ -112,7 +139,49 @@ impl<'s, 'kg> InProcessEndpoint<'s, 'kg> {
         Self {
             store,
             stats: EndpointStats::default(),
+            cursors: Mutex::new(HashMap::new()),
         }
+    }
+
+    /// Number of open cursors: paged queries whose last page has not been
+    /// served yet.
+    pub fn open_cursors(&self) -> usize {
+        self.lock_cursors().len()
+    }
+
+    fn lock_cursors(&self) -> std::sync::MutexGuard<'_, HashMap<String, Arc<ResultSet>>> {
+        // Each entry is a complete result inserted or removed in one step,
+        // so a map left behind by a panicking holder is still valid.
+        self.cursors.lock().unwrap_or_else(|e| e.into_inner())
+    }
+
+    fn evaluate(&self, query: &Query) -> Result<ResultSet, RdfError> {
+        self.stats.evaluations.fetch_add(1, Ordering::Relaxed);
+        kgtosa_obs::counter("rdf.evaluations").inc();
+        SparqlEngine::new(self.store).execute(query)
+    }
+
+    /// Serves one page of a paged query from its cursor, opening the
+    /// cursor on a miss and closing it on a short page.
+    fn page(&self, query: &Query) -> Result<ResultSet, RdfError> {
+        let mut unpaged = query.clone();
+        unpaged.limit = None;
+        unpaged.offset = None;
+        let key = unpaged.to_string();
+        let open = self.lock_cursors().get(&key).cloned();
+        let full = match open {
+            Some(full) => full,
+            None => {
+                let full = Arc::new(self.evaluate(&unpaged)?);
+                self.lock_cursors().insert(key.clone(), Arc::clone(&full));
+                full
+            }
+        };
+        let page = full.page(query.offset.unwrap_or(0), query.limit);
+        if !matches!(query.limit, Some(limit) if page.len() >= limit) {
+            self.lock_cursors().remove(&key);
+        }
+        Ok(page)
     }
 
     /// Request accounting so far.
@@ -132,7 +201,11 @@ impl SparqlEndpoint for InProcessEndpoint<'_, '_> {
         // the scoped view of whichever telemetry context issued the
         // request (an SLO `gauge:`/histogram signal per tenant later).
         let start = std::time::Instant::now();
-        let rs = SparqlEngine::new(self.store).execute(query)?;
+        let rs = if query.limit.is_some() || query.offset.is_some() {
+            self.page(query)?
+        } else {
+            self.evaluate(query)?
+        };
         kgtosa_obs::histogram("rdf.request_s").observe(start.elapsed().as_secs_f64());
         self.stats.record(&rs);
         Ok(rs)
@@ -616,6 +689,104 @@ mod tests {
         }
         let q = crate::parser::parse("SELECT ?s WHERE { ?s <writes> ?o }").unwrap();
         assert_eq!(EmptyEndpoint.count(&q).unwrap(), 0);
+    }
+
+    /// `getGraphSize` of a DISTINCT query counts the rows its pages
+    /// return, not the bag solutions behind them.
+    #[test]
+    fn count_of_distinct_query_counts_distinct_rows() {
+        let kg = kg(10); // a0..a9 write p0..p6: 10 solutions, 7 objects
+        let store = RdfStore::new(&kg);
+        let ep = InProcessEndpoint::new(&store);
+        let bag = parse("SELECT ?o WHERE { ?s <writes> ?o }").unwrap();
+        let set = parse("SELECT DISTINCT ?o WHERE { ?s <writes> ?o }").unwrap();
+        assert_eq!(ep.count(&bag).unwrap(), 10);
+        assert_eq!(ep.count(&set).unwrap(), 7);
+        assert_eq!(ep.count(&set).unwrap(), ep.select(&set).unwrap().len());
+
+        // Partial mode plans its pages from that count: 7 rows at bs 2
+        // are 4 pages, all retrieved.
+        let outcome = fetch_triples_robust(
+            &ep,
+            &store,
+            &[parse("SELECT DISTINCT ?s ?p ?o WHERE { ?x <writes> ?s . ?s ?p ?o }").unwrap()],
+            ("s", "p", "o"),
+            &FetchConfig {
+                batch_size: 2,
+                threads: 1,
+                mode: FetchMode::Partial,
+                ..FetchConfig::default()
+            },
+        )
+        .unwrap();
+        assert_eq!(outcome.planned_pages, 4);
+        assert_eq!(outcome.completed_pages, 4);
+        assert!(outcome.is_complete());
+    }
+
+    /// One fetch of a k-page query: one evaluation, every page a slice of
+    /// it, and no cursor left open once the subquery is exhausted.
+    #[test]
+    fn paged_fetch_evaluates_once_and_closes_its_cursor() {
+        let kg = kg(24);
+        let store = RdfStore::new(&kg);
+        let q = parse("SELECT ?s ?p ?o WHERE { ?s <writes> ?o . ?s ?p ?o }").unwrap();
+        // 24 rows: bs 5 ends on a short page, bs 4 and 24 on an exact
+        // multiple (the empty page after it closes the cursor).
+        for (batch, requests) in [(5, 5), (4, 7), (24, 2), (100, 1)] {
+            let ep = InProcessEndpoint::new(&store);
+            let cfg = FetchConfig {
+                batch_size: batch,
+                threads: 1,
+                ..FetchConfig::default()
+            };
+            let triples =
+                fetch_triples(&ep, &store, std::slice::from_ref(&q), ("s", "p", "o"), &cfg)
+                    .unwrap();
+            assert_eq!(triples.len(), 24);
+            assert_eq!(ep.stats().requests(), requests, "bs {batch}");
+            assert_eq!(ep.stats().evaluations(), 1, "bs {batch}");
+            assert_eq!(ep.open_cursors(), 0, "bs {batch}");
+        }
+    }
+
+    #[test]
+    fn fetch_with_retried_faults_evaluates_each_query_once() {
+        let kg = kg(30);
+        let store = RdfStore::new(&kg);
+        let ep = InProcessEndpoint::new(&store);
+        let queries = [
+            parse("SELECT ?s ?p ?o WHERE { ?s <writes> ?o . ?s ?p ?o }").unwrap(),
+            parse("SELECT DISTINCT ?s ?p ?o WHERE { ?x <writes> ?s . ?s ?p ?o }").unwrap(),
+        ];
+        let outcome = fetch_triples_robust(
+            &ep,
+            &store,
+            &queries,
+            ("s", "p", "o"),
+            &FetchConfig {
+                batch_size: 3,
+                threads: 2,
+                fault: Some(crate::fault::FaultPlan {
+                    fault_rate: 1.0,
+                    max_burst: 2,
+                    ..Default::default()
+                }),
+                retry: Some(crate::retry::RetryPolicy {
+                    base_backoff_us: 1,
+                    max_backoff_us: 10,
+                    ..Default::default()
+                }),
+                ..FetchConfig::default()
+            },
+        )
+        .unwrap();
+        assert!(outcome.is_complete());
+        assert_eq!(outcome.triples.len(), 30);
+        // 10 + 3 pages (the first exhausts on an empty page after 30 rows).
+        assert_eq!(ep.stats().requests(), 11 + 3);
+        assert_eq!(ep.stats().evaluations(), 2, "one evaluation per subquery");
+        assert_eq!(ep.open_cursors(), 0);
     }
 
     #[test]

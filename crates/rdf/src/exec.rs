@@ -10,6 +10,13 @@
 //! 4. `UNION` branches are evaluated per-row and concatenated (bag
 //!    semantics), then `DISTINCT` / `OFFSET` / `LIMIT` apply to the
 //!    projected rows.
+//!
+//! A `DISTINCT` query over a group of triple patterns only (no `UNION`, no
+//! `FILTER`) is evaluated as a *frontier* instead: after each join, every
+//! variable that is neither projected nor used by a remaining pattern is
+//! set to `NULL` and the rows are sort-deduplicated. Intermediate chain
+//! vertices then get set semantics, so a multi-hop chain costs in
+//! proportion to its distinct frontier, not to the number of paths.
 
 use crate::ast::{CompareOp, Constraint, Element, Group, Query, Selection, Term, TriplePattern};
 use crate::error::RdfError;
@@ -81,6 +88,26 @@ impl ResultSet {
             + self.vars.iter().map(|v| v.len() + 24).sum::<usize>()
     }
 
+    /// The rows `OFFSET offset LIMIT limit` keeps, as a new result set.
+    pub(crate) fn page(&self, offset: usize, limit: Option<usize>) -> ResultSet {
+        let start = offset.min(self.len());
+        let end = start
+            .saturating_add(limit.unwrap_or(usize::MAX))
+            .min(self.len());
+        ResultSet {
+            vars: self.vars.clone(),
+            pred_cols: self.pred_cols.clone(),
+            width: self.width,
+            data: self.data[start * self.width..end * self.width].to_vec(),
+        }
+    }
+
+    fn count_of(n: usize) -> ResultSet {
+        let mut rs = ResultSet::new(vec!["count".to_string()]);
+        rs.data.push(n as u32);
+        rs
+    }
+
     /// Whether a column's ids live in the predicate space.
     pub fn is_predicate_col(&self, col: usize) -> bool {
         self.pred_cols.get(col).copied().unwrap_or(false)
@@ -139,6 +166,48 @@ impl Rows {
         debug_assert_eq!(row.len(), self.width);
         self.data.extend_from_slice(row);
         self.count += 1;
+    }
+
+    /// Sets every cell whose column is not `live` to [`NULL_ID`], then
+    /// sorts the rows and drops duplicates. Rows keyed on at most two
+    /// columns — every step of a compiled chain keeps one — sort as packed
+    /// `u64` keys: 6–8 ms against 25–37 ms for row slices on the 275k rows
+    /// of d1h2's first hop at MAG scale 4 (2-core AVX2 host).
+    fn retain_distinct(&mut self, live: &[bool]) {
+        if self.width == 0 {
+            self.count = self.count.min(1);
+            return;
+        }
+        let cols: Vec<usize> = (0..self.width).filter(|&i| live[i]).collect();
+        if cols.len() <= 2 {
+            let pack = |row: &[u32]| {
+                cols.iter()
+                    .fold(0u64, |key, &c| (key << 32) | u64::from(row[c]))
+            };
+            let mut keys: Vec<u64> = self.iter().map(pack).collect();
+            keys.sort_unstable();
+            keys.dedup();
+            self.count = keys.len();
+            self.data = vec![NULL_ID; keys.len() * self.width];
+            for (row, key) in self.data.chunks_exact_mut(self.width).zip(keys) {
+                for (k, &c) in cols.iter().enumerate() {
+                    row[c] = (key >> (32 * (cols.len() - 1 - k))) as u32;
+                }
+            }
+            return;
+        }
+        for row in self.data.chunks_exact_mut(self.width) {
+            for (cell, &keep) in row.iter_mut().zip(live) {
+                if !keep {
+                    *cell = NULL_ID;
+                }
+            }
+        }
+        let mut sorted: Vec<&[u32]> = self.data.chunks_exact(self.width).collect();
+        sorted.sort_unstable();
+        sorted.dedup();
+        self.count = sorted.len();
+        self.data = sorted.concat();
     }
 
     fn iter(&self) -> RowsIter<'_> {
@@ -270,7 +339,7 @@ impl<'s, 'kg> SparqlEngine<'s, 'kg> {
     pub fn execute(&self, query: &Query) -> Result<ResultSet, RdfError> {
         // Assign every variable in the query (plus projected-only vars) a slot.
         let mut vars = query.group.variables();
-        if let Selection::Vars(vs) = &query.select {
+        if let Selection::Vars(vs) | Selection::CountDistinct(vs) = &query.select {
             for v in vs {
                 if !vars.iter().any(|x| x == v) {
                     vars.push(v.clone());
@@ -283,23 +352,37 @@ impl<'s, 'kg> SparqlEngine<'s, 'kg> {
             .iter()
             .map(|v| pred_vars.iter().any(|pv| pv == v))
             .collect();
-        let rows = self.eval_group(&query.group, Rows::single_empty(width), &vars, &pred_flags)?;
-
+        let slots = |vs: &[String]| -> Vec<usize> {
+            vs.iter()
+                .map(|v| vars.iter().position(|x| x == v).expect("added above"))
+                .collect()
+        };
+        let (proj, distinct) = match &query.select {
+            Selection::All => ((0..width).collect(), query.distinct),
+            Selection::Vars(vs) => (slots(vs), query.distinct),
+            Selection::CountDistinct(vs) => (slots(vs), true),
+            // COUNT(*) counts bag solutions.
+            Selection::Count => (Vec::new(), false),
+        };
+        let patterns_only = query
+            .group
+            .elements
+            .iter()
+            .all(|el| matches!(el, Element::Pattern(_)));
+        let frontier = distinct && patterns_only;
+        let rows = self.eval_group(
+            &query.group,
+            Rows::single_empty(width),
+            &vars,
+            &pred_flags,
+            frontier.then_some(proj.as_slice()),
+        )?;
         if let Selection::Count = query.select {
-            let mut rs = ResultSet::new(vec!["count".to_string()]);
-            rs.data.push(rows.len() as u32);
-            return Ok(rs);
+            let count = ResultSet::count_of(rows.len());
+            return Ok(count.page(query.offset.unwrap_or(0), query.limit));
         }
 
         // Project.
-        let proj: Vec<usize> = match &query.select {
-            Selection::All => (0..width).collect(),
-            Selection::Vars(vs) => vs
-                .iter()
-                .map(|v| vars.iter().position(|x| x == v).expect("added above"))
-                .collect(),
-            Selection::Count => unreachable!(),
-        };
         let proj_vars: Vec<String> = proj.iter().map(|&i| vars[i].clone()).collect();
         let mut rs = ResultSet::new(proj_vars);
         rs.pred_cols = proj.iter().map(|&i| pred_flags[i]).collect();
@@ -310,36 +393,58 @@ impl<'s, 'kg> SparqlEngine<'s, 'kg> {
             }
         }
 
-        if query.distinct && rs.width > 0 {
+        // The frontier's last join already left only distinct projections.
+        if distinct && !frontier && rs.width > 0 {
             let mut sorted: Vec<&[u32]> = rs.data.chunks_exact(rs.width).collect();
             sorted.sort_unstable();
             sorted.dedup();
-            let mut deduped = Vec::with_capacity(sorted.len() * rs.width);
-            for row in sorted {
-                deduped.extend_from_slice(row);
-            }
-            rs.data = deduped;
+            rs.data = sorted.concat();
         }
-
-        // OFFSET then LIMIT over whole rows.
-        let offset = query.offset.unwrap_or(0).min(rs.len());
-        let limit = query.limit.unwrap_or(usize::MAX);
-        let keep = rs.len().saturating_sub(offset).min(limit);
-        if offset > 0 || keep < rs.len() {
-            let start = offset * rs.width;
-            let end = (offset + keep) * rs.width;
-            rs.data = rs.data[start..end].to_vec();
+        if let Selection::CountDistinct(_) = query.select {
+            rs = ResultSet::count_of(rs.len());
         }
-        Ok(rs)
+        Ok(rs.page(query.offset.unwrap_or(0), query.limit))
     }
 
-    /// Evaluates a group against every input row.
+    /// Frontier step after a join: clears the slots that are set but
+    /// neither in `keep` nor used by a `remaining` pattern, and
+    /// deduplicates the rows if that cleared any. A join of distinct rows
+    /// against the (duplicate-free) hexastore yields distinct rows, so
+    /// joins that clear nothing need no sort.
+    fn clear_dead_slots(rows: &mut Rows, keep: &[usize], remaining: &[CompiledPattern]) {
+        let mut live = vec![false; rows.width];
+        for &i in keep {
+            live[i] = true;
+        }
+        for comp in remaining.iter().flat_map(|p| [p.s, p.p, p.o]) {
+            if let Comp::Var(i) = comp {
+                live[i] = true;
+            }
+        }
+        // Every join binds the same slots in every row, so the first row
+        // shows which slots are set.
+        let Some(first) = rows.iter().next() else {
+            return;
+        };
+        let set: Vec<bool> = first.iter().map(|&v| v != NULL_ID).collect();
+        if (0..rows.width).any(|i| set[i] && !live[i]) {
+            for (keep, set) in live.iter_mut().zip(set) {
+                *keep &= set;
+            }
+            rows.retain_distinct(&live);
+        }
+    }
+
+    /// Evaluates a group against every input row. With `keep`, the group
+    /// holds only triple patterns and is evaluated as a frontier: set
+    /// semantics over the `keep` slots (see [`Self::clear_dead_slots`]).
     fn eval_group(
         &self,
         group: &Group,
         input: Rows,
         vars: &[String],
         pred_flags: &[bool],
+        keep: Option<&[usize]>,
     ) -> Result<Rows, RdfError> {
         // Compile and split: joinable triple patterns, UNION elements, and
         // FILTER constraints (applied last, over the group's solutions).
@@ -371,6 +476,9 @@ impl<'s, 'kg> SparqlEngine<'s, 'kg> {
                 // Short-circuit: the join is already empty.
                 return Ok(rows);
             }
+            if let Some(keep) = keep {
+                Self::clear_dead_slots(&mut rows, keep, &remaining);
+            }
         }
 
         // Apply unions: each input row fans out across branches.
@@ -384,7 +492,7 @@ impl<'s, 'kg> SparqlEngine<'s, 'kg> {
                         count: 1,
                         data: row.to_vec(),
                     };
-                    let produced = self.eval_group(branch, seed, vars, pred_flags)?;
+                    let produced = self.eval_group(branch, seed, vars, pred_flags, None)?;
                     out.count += produced.count;
                     out.data.extend_from_slice(&produced.data);
                 }
@@ -515,6 +623,7 @@ impl<'s, 'kg> SparqlEngine<'s, 'kg> {
             return Ok(out);
         }
         let hex = self.store.hexastore();
+        let mut new_row = vec![NULL_ID; rows.width];
         for row in rows.iter() {
             let fix = |c: Comp| -> Option<u32> {
                 match c {
@@ -525,7 +634,7 @@ impl<'s, 'kg> SparqlEngine<'s, 'kg> {
             };
             let (s, p, o) = (fix(pat.s), fix(pat.p), fix(pat.o));
             for [ts, tp, to] in hex.scan(s, p, o) {
-                let mut new_row = row.to_vec();
+                new_row.copy_from_slice(row);
                 if Self::bind(&mut new_row, pat.s, ts)
                     && Self::bind(&mut new_row, pat.p, tp)
                     && Self::bind(&mut new_row, pat.o, to)

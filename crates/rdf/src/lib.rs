@@ -11,11 +11,13 @@
 //!   plus materialized `rdf:type` assertions,
 //! * [`parser`] / [`ast`] — a SPARQL subset covering exactly the query
 //!   forms KG-TOSA generates (`SELECT`, `DISTINCT`, BGPs, `UNION`,
-//!   `LIMIT`/`OFFSET`, `COUNT`, `PREFIX`, the `a` keyword),
+//!   `LIMIT`/`OFFSET`, `COUNT` and `COUNT(DISTINCT ?a …)`, `PREFIX`, the
+//!   `a` keyword),
 //! * [`exec::SparqlEngine`] — greedy selectivity-ordered index nested-loop
-//!   join evaluation,
-//! * [`endpoint`] — the endpoint trait plus Algorithm 3's parallel
-//!   paginated triple fetcher.
+//!   join evaluation, with `DISTINCT` chains evaluated as a frontier,
+//! * [`endpoint`] — the endpoint trait, an in-process endpoint serving each
+//!   paged query from one evaluation, and Algorithm 3's parallel paginated
+//!   triple fetcher.
 //!
 //! ```
 //! use kgtosa_kg::KnowledgeGraph;

@@ -133,11 +133,24 @@ impl Parser {
                 Ok(Selection::All)
             }
             Some(Token::LParen) => {
-                // (COUNT(*) AS ?v)
+                // (COUNT(*) AS ?v) or (COUNT(DISTINCT ?a ?b …) AS ?v)
                 self.next();
                 self.expect_kw(Keyword::Count)?;
                 self.expect(Token::LParen)?;
-                self.expect(Token::Star)?;
+                let selection = if matches!(self.peek(), Some(Token::Keyword(Keyword::Distinct))) {
+                    self.next();
+                    let vars = self.parse_vars();
+                    if vars.is_empty() {
+                        return Err(RdfError::parse(
+                            self.pos,
+                            "expected variables after COUNT(DISTINCT",
+                        ));
+                    }
+                    Selection::CountDistinct(vars)
+                } else {
+                    self.expect(Token::Star)?;
+                    Selection::Count
+                };
                 self.expect(Token::RParen)?;
                 self.expect_kw(Keyword::As)?;
                 match self.next() {
@@ -150,21 +163,24 @@ impl Parser {
                     }
                 }
                 self.expect(Token::RParen)?;
-                Ok(Selection::Count)
+                Ok(selection)
             }
-            Some(Token::Var(_)) => {
-                let mut vars = Vec::new();
-                while let Some(Token::Var(v)) = self.peek() {
-                    vars.push(v.clone());
-                    self.next();
-                }
-                Ok(Selection::Vars(vars))
-            }
+            Some(Token::Var(_)) => Ok(Selection::Vars(self.parse_vars())),
             other => Err(RdfError::parse(
                 self.pos,
                 format!("expected projection, found {other:?}"),
             )),
         }
+    }
+
+    /// Consumes a run of variables.
+    fn parse_vars(&mut self) -> Vec<String> {
+        let mut vars = Vec::new();
+        while let Some(Token::Var(v)) = self.peek() {
+            vars.push(v.clone());
+            self.next();
+        }
+        vars
     }
 
     /// Parses a group body up to (not consuming past) its closing brace.
@@ -343,6 +359,17 @@ mod tests {
     fn count_selection() {
         let q = parse("SELECT (COUNT(*) AS ?c) WHERE { ?s ?p ?o }").unwrap();
         assert_eq!(q.select, Selection::Count);
+    }
+
+    #[test]
+    fn count_distinct_selection_roundtrips() {
+        let q = parse("SELECT (COUNT(DISTINCT ?s ?o) AS ?c) WHERE { ?s ?p ?o }").unwrap();
+        assert_eq!(
+            q.select,
+            Selection::CountDistinct(vec!["s".into(), "o".into()])
+        );
+        assert_eq!(parse(&q.to_string()).unwrap(), q);
+        assert!(parse("SELECT (COUNT(DISTINCT) AS ?c) WHERE { ?s ?p ?o }").is_err());
     }
 
     #[test]

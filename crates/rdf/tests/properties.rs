@@ -5,7 +5,8 @@ use proptest::prelude::*;
 
 use kgtosa_kg::KnowledgeGraph;
 use kgtosa_rdf::{
-    fetch_triples, parse, FetchConfig, Hexastore, InProcessEndpoint, RdfStore, SparqlEngine,
+    fetch_triples, parse, FetchConfig, Group, Hexastore, InProcessEndpoint, Query, RdfStore,
+    Selection, SparqlEndpoint, SparqlEngine, Term, TriplePattern, NULL_ID,
 };
 
 fn arb_triples() -> impl Strategy<Value = Vec<[u32; 3]>> {
@@ -49,6 +50,122 @@ fn naive_scan(
     out.sort_unstable();
     out.dedup();
     out
+}
+
+/// One hop of a random chain: direction (`true` = outgoing), predicate
+/// choice and far-end choice, decoded by [`chain_query`].
+type Hop = (bool, u32, u32);
+
+/// Builds a DISTINCT chain query: an optional `?v0 a <Ck>` anchor, then one
+/// pattern per hop from the current chain term. Predicates are constants,
+/// fresh variables, the repeated `?p0` or `rdf:type`; far ends are fresh
+/// variables, repeated chain variables, vertex or class constants.
+/// `mask` picks the projected variables (at least one).
+fn chain_query(anchor: u32, hops: &[Hop], mask: u32) -> Query {
+    let var = |n: String| Term::Var(n);
+    let mut patterns = Vec::new();
+    if anchor < 3 {
+        patterns.push(TriplePattern::new(
+            var("v0".into()),
+            Term::Const("rdf:type".into()),
+            Term::Const(format!("C{anchor}")),
+        ));
+    }
+    let mut from = var("v0".into());
+    for (i, &(out, pc, ec)) in hops.iter().enumerate() {
+        let p = match pc {
+            0..=3 => Term::Const(format!("r{pc}")),
+            4 | 5 => var(format!("p{i}")),
+            6 => var("p0".into()),
+            _ => Term::Const("rdf:type".into()),
+        };
+        let to = match ec {
+            0..=7 | 15 => var(format!("v{}", i + 1)),
+            8..=10 => var(format!("v{}", ec as usize % (i + 1))),
+            11..=13 => Term::Const(format!("n{}", ec - 11)),
+            _ => Term::Const("C1".into()),
+        };
+        let (s, o) = if out {
+            (from, to.clone())
+        } else {
+            (to.clone(), from)
+        };
+        patterns.push(TriplePattern::new(s, p, o));
+        from = to;
+    }
+    let group = Group::of_patterns(patterns);
+    let vars = group.variables();
+    let mut proj: Vec<String> = vars
+        .iter()
+        .enumerate()
+        .filter(|(i, _)| mask & (1 << i) != 0)
+        .map(|(_, v)| v.clone())
+        .collect();
+    if proj.is_empty() {
+        proj.push(vars[0].clone());
+    }
+    Query {
+        select: Selection::Vars(proj),
+        distinct: true,
+        group,
+        limit: None,
+        offset: None,
+    }
+}
+
+/// Reference evaluation: bag semantics by nested loops over every stored
+/// triple (data and `rdf:type`), patterns in written order, then project,
+/// sort and dedup.
+fn naive_distinct(store: &RdfStore<'_>, query: &Query) -> Vec<Vec<u32>> {
+    let all: Vec<[u32; 3]> = store.hexastore().scan(None, None, None).collect();
+    let vars = query.group.variables();
+    let slot = |v: &str| vars.iter().position(|x| x == v).unwrap();
+    let mut bindings = vec![vec![NULL_ID; vars.len()]];
+    for el in &query.group.elements {
+        let kgtosa_rdf::Element::Pattern(tp) = el else {
+            unreachable!()
+        };
+        let mut next = Vec::new();
+        for b in &bindings {
+            for t in &all {
+                let mut b = b.clone();
+                let unify = |b: &mut Vec<u32>, term: &Term, value: u32, pred: bool| match term {
+                    Term::Var(v) => {
+                        let cell = &mut b[slot(v)];
+                        if *cell == NULL_ID {
+                            *cell = value;
+                        }
+                        *cell == value
+                    }
+                    Term::Const(c) => {
+                        let id = if pred {
+                            store.resolve_pred_term(c)
+                        } else {
+                            store.resolve_node_term(c)
+                        };
+                        id == Some(value)
+                    }
+                };
+                if unify(&mut b, &tp.s, t[0], false)
+                    && unify(&mut b, &tp.p, t[1], true)
+                    && unify(&mut b, &tp.o, t[2], false)
+                {
+                    next.push(b);
+                }
+            }
+        }
+        bindings = next;
+    }
+    let Selection::Vars(proj) = &query.select else {
+        unreachable!()
+    };
+    let mut rows: Vec<Vec<u32>> = bindings
+        .iter()
+        .map(|b| proj.iter().map(|v| b[slot(v)]).collect())
+        .collect();
+    rows.sort();
+    rows.dedup();
+    rows
 }
 
 proptest! {
@@ -139,5 +256,62 @@ proptest! {
             .execute_str("SELECT (COUNT(*) AS ?c) WHERE { ?s <r2> ?o }")
             .unwrap();
         prop_assert_eq!(count.row(0)[0] as usize, rows.len());
+    }
+
+    /// A DISTINCT chain query (1–3 hops, repeated and predicate variables,
+    /// constants) evaluated with frontier pushdown returns exactly the
+    /// reference's distinct projected rows, without duplicates.
+    #[test]
+    fn frontier_distinct_matches_naive(kg in arb_kg(),
+                                       anchor in 0u32..4,
+                                       hops in proptest::collection::vec(
+                                           (any::<bool>(), 0u32..8, 0u32..16), 1..4),
+                                       mask in 0u32..64) {
+        let store = RdfStore::new(&kg);
+        let q = chain_query(anchor, &hops, mask);
+        let rs = SparqlEngine::new(&store).execute(&q).unwrap();
+        let got: Vec<Vec<u32>> = rs.rows().map(|r| r.to_vec()).collect();
+        let mut sorted = got.clone();
+        sorted.sort();
+        sorted.dedup();
+        prop_assert_eq!(sorted.len(), got.len(), "duplicates from {}", q);
+        prop_assert_eq!(sorted, naive_distinct(&store, &q), "query {}", q);
+    }
+
+    /// Concatenated LIMIT/OFFSET pages of a DISTINCT chain query equal its
+    /// unpaged result for every batch size — including the divisors of the
+    /// row count, where the last page is full and an empty page follows —
+    /// from a single evaluation that leaves no cursor open.
+    #[test]
+    fn pages_concatenate_to_the_unpaged_result(kg in arb_kg(),
+                                               hops in proptest::collection::vec(
+                                                   (any::<bool>(), 0u32..8, 0u32..16), 1..4),
+                                               mask in 0u32..64) {
+        let store = RdfStore::new(&kg);
+        let q = chain_query(0, &hops, mask);
+        let full = InProcessEndpoint::new(&store).select(&q).unwrap();
+        let n = full.len();
+        let batches: Vec<usize> = if n <= 64 {
+            (1..=n + 1).collect()
+        } else {
+            (1..=n + 1).filter(|&b| b <= 16 || n.is_multiple_of(b) || b > n).collect()
+        };
+        for batch in batches {
+            let ep = InProcessEndpoint::new(&store);
+            let mut rows: Vec<u32> = Vec::new();
+            let mut offset = 0;
+            loop {
+                let page = ep.select(&q.with_page(batch, offset)).unwrap();
+                rows.extend(page.rows().flatten().copied());
+                offset += batch;
+                if page.len() < batch {
+                    break;
+                }
+            }
+            let expect: Vec<u32> = full.rows().flatten().copied().collect();
+            prop_assert_eq!(rows, expect, "batch {} of {}", batch, q);
+            prop_assert_eq!(ep.stats().evaluations(), 1);
+            prop_assert_eq!(ep.open_cursors(), 0);
+        }
     }
 }
