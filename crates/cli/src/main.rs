@@ -101,12 +101,10 @@ GLOBAL OPTIONS (any command):
                      same, KGTOSA_SLO_MS sets the sweep interval
   --strict-slo       Exit with status 3 when any SLO rule was violated
                      during the run (for CI gating)
-  --prof-out FILE    Arm the profiler (span-stack mirroring plus a
-                     KGTOSA_PROF_HZ sampling tick, default 97 Hz; 0
-                     disables the tick) and write collapsed stacks to
-                     FILE at exit (the `stack;stack count` format read
-                     by inferno, speedscope and flamegraph.pl); setting
-                     KGTOSA_PROF_HZ alone also arms the profiler
+  --prof-out FILE    Write every span's self time at exit to FILE as
+                     collapsed stacks weighted in microseconds (the
+                     `stack;stack count` format read by inferno,
+                     speedscope and flamegraph.pl)
   --quiet            Silence progress chatter on stderr (result lines on
                      stdout are unaffected)
 
@@ -164,13 +162,6 @@ fn main() {
             std::process::exit(2);
         }
         None => {}
-    }
-    // Arm the profiler when an output path is given or a sampling rate is
-    // configured; off otherwise, so the span hot path stays a single
-    // relaxed atomic load.
-    let prof_out = args.options.get("prof-out").cloned();
-    if prof_out.is_some() || std::env::var("KGTOSA_PROF_HZ").is_ok() {
-        kgtosa_obs::enable_prof_from_env();
     }
     let traced = match args.options.get("trace-out") {
         Some(path) => kgtosa_obs::init_trace_to(path)
@@ -272,8 +263,9 @@ fn main() {
             Err(e) => eprintln!("chrome: cannot write {path}: {e}"),
         }
     }
-    if let Some(path) = &prof_out {
+    if let Some(path) = args.options.get("prof-out") {
         match kgtosa_obs::write_folded(path) {
+            Ok(()) if kgtosa_obs::is_quiet() => {}
             Ok(()) => eprintln!("prof: wrote collapsed stacks to {path}"),
             Err(e) => eprintln!("prof: cannot write {path}: {e}"),
         }

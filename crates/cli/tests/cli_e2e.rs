@@ -108,6 +108,7 @@ fn train_command_runs() {
 #[test]
 fn trace_out_emits_parseable_jsonl_and_summary_renders() {
     let trace = tmp("train-trace.jsonl");
+    let folded = tmp("train-run.folded");
     // `--tosg` routes through SPARQL extraction + transform, so the trace
     // covers the whole pipeline, not just training.
     let out = kgtosa()
@@ -116,6 +117,7 @@ fn trace_out_emits_parseable_jsonl_and_summary_renders() {
             "--method", "rgcn", "--scale", "0.05", "--epochs", "3",
             "--tosg", "d1h1", "--quiet",
             "--trace-out", trace.to_str().unwrap(),
+            "--prof-out", folded.to_str().unwrap(),
         ])
         .output()
         .unwrap();
@@ -158,6 +160,27 @@ fn trace_out_emits_parseable_jsonl_and_summary_renders() {
     assert!(saw_transform, "trace must contain a pipeline.transform span:\n{text}");
     assert_eq!(epoch_events, 3, "one train.epoch event per epoch:\n{text}");
     assert!(kinds.contains("metrics"), "final metrics event missing:\n{text}");
+
+    // `--prof-out`: one `frames count` line per span with self time, even
+    // for spans well under a millisecond (extraction and transform at
+    // this scale).
+    let folded = std::fs::read_to_string(&folded).unwrap();
+    assert!(!folded.trim().is_empty(), "--prof-out wrote an empty file");
+    let mut stacks = Vec::new();
+    for line in folded.lines() {
+        let (frames, count) = line
+            .rsplit_once(' ')
+            .unwrap_or_else(|| panic!("not a `frames count` line: {line:?}"));
+        assert!(!frames.is_empty(), "{line:?}");
+        count.parse::<u64>().unwrap_or_else(|e| panic!("bad count in {line:?}: {e}"));
+        stacks.push(frames);
+    }
+    for want in ["extract.sparql;rdf.fetch", "pipeline.transform"] {
+        assert!(
+            stacks.iter().any(|s| s.contains(want)),
+            "no {want} line in the folded stacks:\n{folded}"
+        );
+    }
 
     // The summary subcommand aggregates the trace into a table.
     let out = kgtosa()

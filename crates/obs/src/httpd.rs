@@ -6,7 +6,7 @@
 //! on head and body size, so a hostile or confused client cannot balloon
 //! the process. [`HttpResponse`] + [`write_response`] render the answer.
 //! [`builtin_route`] answers the observability GET routes (`/metrics`,
-//! `/spans`, `/progress`, `/prof`, `/contexts`, `/healthz`) from the live
+//! `/spans`, `/progress`, `/contexts`, `/healthz`) from the live
 //! registry, so any server built on this module exposes them for free.
 
 use std::io::{self, Read, Write};
@@ -15,7 +15,6 @@ use std::net::TcpStream;
 use crate::json::Json;
 use crate::progress::progress_json;
 use crate::prometheus::render_prometheus;
-use crate::registry;
 
 /// Default cap on the request head (request line + headers).
 pub const MAX_HEAD_BYTES: usize = 16 * 1024;
@@ -246,19 +245,24 @@ fn healthz_json(ready: bool) -> Json {
 }
 
 /// The `/spans` payload: `{"spans": {<name>: {...}}}` mirroring the final
-/// `metrics` trace event's span section.
+/// `metrics` trace event's span section, plus each span's self time and
+/// self allocations ([`crate::self_times`]).
 fn spans_json() -> Json {
-    let spans: Vec<(String, Json)> = registry::span_stats()
+    let aggs = crate::registry_aggs();
+    let spans: Vec<(String, Json)> = crate::self_times(&aggs)
         .into_iter()
-        .map(|(name, s)| {
+        .zip(&aggs)
+        .map(|(row, agg)| {
             (
-                name,
+                row.name,
                 Json::Obj(vec![
-                    ("count".into(), Json::Num(s.count as f64)),
-                    ("total_s".into(), Json::Num(s.total_s)),
-                    ("max_s".into(), Json::Num(s.max_s)),
-                    ("peak_delta_max".into(), Json::Num(s.peak_delta_max as f64)),
-                    ("allocs".into(), Json::Num(s.allocs as f64)),
+                    ("count".into(), Json::Num(row.count as f64)),
+                    ("total_s".into(), Json::Num(row.total_s)),
+                    ("self_s".into(), Json::Num(row.self_s)),
+                    ("max_s".into(), Json::Num(agg.max_s)),
+                    ("peak_delta_max".into(), Json::Num(row.peak_max_bytes as f64)),
+                    ("allocs".into(), Json::Num(agg.allocs as f64)),
+                    ("self_allocs".into(), Json::Num(row.self_allocs as f64)),
                 ]),
             )
         })
@@ -280,7 +284,6 @@ pub fn builtin_route(req: &HttpRequest) -> Option<HttpResponse> {
         },
         "/spans" => HttpResponse::json(200, spans_json().to_string()),
         "/progress" => HttpResponse::json(200, progress_json().to_string()),
-        "/prof" => HttpResponse::json(200, crate::prof::prof_json().to_string()),
         "/contexts" => HttpResponse::json(200, crate::context::contexts_json().to_string()),
         "/healthz" => {
             let ready = crate::slo::slo_ready();

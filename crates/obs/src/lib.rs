@@ -30,9 +30,9 @@
 //!   [`DiffReport::render_markdown`] feeds its CI step summary.
 //! * **Cost attribution** — [`self_times`] splits every span's wall time
 //!   into self and child time (summing back to the root wall), served
-//!   live at `/prof`; [`enable_prof`] adds a sampling tick, and
-//!   [`write_folded`] (`--prof-out`) writes collapsed stacks for any
-//!   external flamegraph tool.
+//!   live in every `/spans` row and printed in the summary tree;
+//!   [`write_folded`] (`--prof-out`) writes the same self times as
+//!   collapsed stacks for any external flamegraph tool.
 //! * **Sinks** — a machine-readable JSONL event stream (enabled with
 //!   `--trace-out` or `KGTOSA_TRACE=<path>`) and a human-readable stderr
 //!   summary tree ([`render_summary_tree`]).
@@ -85,9 +85,7 @@ pub use httpd::{
 };
 pub use json::Json;
 pub use prof::{
-    enable_prof, enable_prof_from_env, fold_stack, folded_from_aggs, prof_enabled, prof_json,
-    registry_aggs, render_folded, reset_prof_samples, sample_ticks, samples_folded, self_times,
-    write_folded, SelfTime, DEFAULT_PROF_HZ,
+    fold_stack, folded_from_aggs, registry_aggs, render_folded, self_times, write_folded, SelfTime,
 };
 pub use progress::{
     emit_heartbeat, progress_json, progress_snapshot, progress_task, reset_progress,

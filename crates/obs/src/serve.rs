@@ -5,10 +5,8 @@
 //!
 //! * `GET /metrics`  — the live registry in Prometheus text exposition
 //!   format ([`crate::render_prometheus`]),
-//! * `GET /spans`    — per-span aggregates as JSON,
+//! * `GET /spans`    — per-span aggregates with self time as JSON,
 //! * `GET /progress` — progress tasks with rate and ETA as JSON,
-//! * `GET /prof`     — profiler state: self-time attribution over the
-//!   live registry plus accumulated sampler stacks,
 //! * `GET /contexts` — every live telemetry context's scoped span tree,
 //!   counters, gauges, and recorded SLO violations as JSON,
 //! * `GET /healthz`  — readiness JSON: `200` while no live context has an
@@ -104,7 +102,7 @@ fn handle_connection(mut stream: TcpStream) -> std::io::Result<()> {
     } else if req.path == "/" {
         HttpResponse::text(
             200,
-            "kgtosa metrics server\nroutes: /metrics /spans /progress /prof /contexts /healthz\n",
+            "kgtosa metrics server\nroutes: /metrics /spans /progress /contexts /healthz\n",
         )
     } else {
         HttpResponse::text(404, "not found\n")
@@ -154,7 +152,9 @@ mod tests {
         assert_eq!(status, 200);
         assert!(ctype.contains("application/json"));
         let json = Json::parse(&body).expect("spans is valid JSON");
-        assert!(json.get("spans").unwrap().get("test_serve_span").is_some());
+        let row = json.get("spans").unwrap().get("test_serve_span").expect("span row");
+        assert!(row.get("self_s").and_then(Json::as_f64).is_some(), "{body}");
+        assert!(row.get("self_allocs").and_then(Json::as_f64).is_some(), "{body}");
 
         let (status, _, body) = http_get(addr, "/progress");
         assert_eq!(status, 200);
@@ -172,7 +172,7 @@ mod tests {
         let (status, _, body) = http_get(addr, "/");
         assert_eq!(status, 200);
         assert!(body.contains("/metrics"));
-        assert!(body.contains("/prof"));
+        assert!(!body.contains("/prof"));
 
         // Core cross-crate instruments are pre-registered on bind, so the
         // very first scrape already exports them.
@@ -187,19 +187,9 @@ mod tests {
             assert!(body.contains(family), "missing {family} in first scrape:\n{body}");
         }
 
-        let (status, ctype, body) = http_get(addr, "/prof");
-        assert_eq!(status, 200);
-        assert!(ctype.contains("application/json"));
-        let json = Json::parse(&body).expect("prof is valid JSON");
-        assert!(json.get("enabled").is_some());
-        let spans = match json.get("spans") {
-            Some(Json::Arr(items)) => items,
-            other => panic!("expected spans array, got {other:?}"),
-        };
-        assert!(spans
-            .iter()
-            .any(|s| s.get("name").and_then(Json::as_str) == Some("test_serve_span")));
-        assert!(spans.iter().all(|s| s.get("self_s").is_some()));
+        // Self time lives in `/spans`; there is no separate profile route.
+        let (status, _, _) = http_get(addr, "/prof");
+        assert_eq!(status, 404);
     }
 
     #[test]

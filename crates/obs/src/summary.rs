@@ -3,7 +3,6 @@
 //! rows.
 
 use crate::json::Json;
-use crate::registry;
 
 /// Aggregate over all events sharing one span name.
 #[derive(Debug, Clone)]
@@ -151,26 +150,41 @@ pub fn render_trace_table(rows: &[SpanAgg]) -> String {
     out
 }
 
-/// Renders the live registry's span aggregates as an indented tree plus
-/// a flat list of counters — the human-readable stderr sink.
+/// Renders the live registry's span aggregates as an indented tree — the
+/// human-readable stderr sink. Nesting follows the parent links of
+/// [`crate::self_times`], so a dotted name nests only under a span that
+/// was recorded around it, and each label is the name relative to that
+/// parent.
 pub fn render_summary_tree() -> String {
-    let stats = registry::span_stats();
+    let aggs = crate::registry_aggs();
+    let rows = &crate::self_times(&aggs);
     let mut out = String::new();
-    if stats.is_empty() {
+    if rows.is_empty() {
         return out;
     }
-    out.push_str("span summary (wall time · count · max peak growth · allocs)\n");
-    for (path, stat) in &stats {
-        let depth = path.matches('.').count();
-        let label = path.rsplit('.').next().unwrap_or(path);
-        out.push_str(&"  ".repeat(depth + 1));
+    out.push_str("span summary (wall time · self time · count · max peak growth · allocs)\n");
+    // Depth-first from the roots. Rows arrive sorted by name, so pushing
+    // each sibling list reversed pops it in name order.
+    let children = |parent: Option<usize>| {
+        (0..rows.len()).rev().filter(move |&j| rows[j].parent == parent)
+    };
+    let mut stack: Vec<usize> = children(None).collect();
+    while let Some(i) = stack.pop() {
+        let row = &rows[i];
+        // A parent's name plus '.' prefixes its child's (see `self_times`).
+        let label = row
+            .parent
+            .map_or(row.name.as_str(), |p| &row.name[rows[p].name.len() + 1..]);
+        out.push_str(&"  ".repeat(row.depth + 1));
         out.push_str(&format!(
-            "{label:<24} {:>9.4}s ×{:<4} peak +{:<10} allocs {}\n",
-            stat.total_s,
-            stat.count,
-            kgtosa_memtrack::format_bytes(stat.peak_delta_max),
-            stat.allocs,
+            "{label:<24} {:>9.4}s self {:>9.4}s ×{:<4} peak +{:<10} allocs {}\n",
+            row.total_s,
+            row.self_s,
+            row.count,
+            kgtosa_memtrack::format_bytes(row.peak_max_bytes),
+            aggs[i].allocs,
         ));
+        stack.extend(children(Some(i)));
     }
     out
 }
@@ -234,6 +248,34 @@ mod tests {
         assert_eq!(transform.count, 2, "complete events before the cut survive");
         // A file that is nothing but one truncated line yields no rows.
         assert!(summarize_jsonl("{\"ev\":\"span\"").unwrap().is_empty());
+    }
+
+    #[test]
+    fn summary_tree_nests_by_recorded_parent() {
+        crate::span("par.nn.mean_aggregate").finish();
+        crate::span("par.nn.rgcn.grad_h").finish();
+        {
+            let _outer = crate::span("extract.sparql");
+            crate::span("rdf.fetch").finish();
+        }
+        let tree = render_summary_tree();
+        let line = |label: &str| {
+            tree.lines()
+                .find(|l| l.trim_start().starts_with(&format!("{label} ")))
+                .unwrap_or_else(|| panic!("no line labelled {label}:\n{tree}"))
+        };
+        let indent = |l: &str| l.len() - l.trim_start().len();
+        // No span `par.nn.rgcn` or `par.nn` was recorded, so `grad_h` is a
+        // root under its full name, not a child of `mean_aggregate`.
+        assert_eq!(indent(line("par.nn.rgcn.grad_h")), indent(line("par.nn.mean_aggregate")));
+        // `rdf.fetch` opened inside `extract.sparql`: one level deeper,
+        // labelled relative to its parent, printed right after it.
+        let fetch = line("rdf.fetch");
+        assert_eq!(indent(fetch), indent(line("extract.sparql")) + 2);
+        let lines: Vec<&str> = tree.lines().collect();
+        let at = |l: &str| lines.iter().position(|x| *x == l).unwrap();
+        assert_eq!(at(fetch), at(line("extract.sparql")) + 1, "{tree}");
+        assert!(fetch.contains(" self "), "{tree}");
     }
 
     #[test]

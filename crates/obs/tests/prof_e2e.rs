@@ -1,13 +1,14 @@
 //! End-to-end profiler contract: real nested spans → JSONL trace →
 //! self-time attribution that telescopes to the root wall, and
-//! well-formed collapsed stacks from `write_folded`.
+//! collapsed stacks from `write_folded` with one line per working span
+//! whose microsecond weights sum to the self times.
 //!
 //! Single `#[test]` on purpose: the trace sink is a process-global
 //! one-shot, so the whole pipeline is exercised in one pass.
 
 use std::time::Duration;
 
-use kgtosa_obs::{self_times, span, summarize_jsonl, write_folded};
+use kgtosa_obs::{registry_aggs, self_times, span, summarize_jsonl, write_folded};
 
 fn busy(ms: u64) {
     std::thread::sleep(Duration::from_millis(ms));
@@ -69,17 +70,38 @@ fn trace_to_self_times_and_folded_stacks() {
     let extract = rows.iter().find(|r| r.name.ends_with("extract")).unwrap();
     assert!(extract.self_s < extract.total_s, "extract has children: {extract:?}");
 
-    // Collapsed stacks (from the registry aggregates, sampler off): one
-    // `frames count` line per span with self time.
+    // Collapsed stacks from the live registry: one `frames count` line
+    // per span with nonzero self time, weighted in microseconds.
     let folded_path = dir.join("run.folded");
     write_folded(folded_path.to_str().unwrap()).expect("write folded");
     let folded = std::fs::read_to_string(&folded_path).expect("read folded");
-    assert!(!folded.trim().is_empty(), "folded output is empty");
+    let mut lines = Vec::new();
     for line in folded.lines() {
-        let (_stack, count) = line.rsplit_once(' ').expect("`frames count` shape");
-        count.parse::<u64>().expect("count is integral");
+        let (stack, count) = line.rsplit_once(' ').expect("`frames count` shape");
+        lines.push((stack.to_string(), count.parse::<u64>().expect("count is integral")));
     }
-    assert!(folded.contains("pipeline"), "folded stacks show the root frame");
+    let live = self_times(&registry_aggs());
+    let working: Vec<_> = live.iter().filter(|r| r.self_s > 0.0).collect();
+    assert!(working.len() >= 5, "expected the nested spans, got {live:?}");
+    assert_eq!(lines.len(), working.len(), "one line per working span:\n{folded}");
+    for row in &working {
+        // The last frame is the span's name relative to its parent.
+        let last = row.parent.map_or(row.name.as_str(), |p| &row.name[live[p].name.len() + 1..]);
+        assert!(
+            lines.iter().any(|(stack, _)| stack.rsplit(';').next() == Some(last)),
+            "no folded line for {} (self {}s):\n{folded}",
+            row.name,
+            row.self_s
+        );
+    }
+    let weight_us: u64 = lines.iter().map(|(_, count)| count).sum();
+    let self_us: f64 = working.iter().map(|r| r.self_s * 1e6).sum();
+    assert!(
+        (weight_us as f64 - self_us).abs() <= lines.len() as f64,
+        "folded weights {weight_us}µs vs self time {self_us}µs over {} lines",
+        lines.len()
+    );
+    assert!(folded.contains("pipeline;extract;fetch "), "{folded}");
 
     std::fs::remove_dir_all(&dir).ok();
 }

@@ -103,6 +103,7 @@ fn extract_and_infer_round_trip() {
     assert_eq!(get(daemon.addr, "/", Duration::from_secs(5)).unwrap().status, 200);
     assert_eq!(get(daemon.addr, "/metrics", Duration::from_secs(5)).unwrap().status, 200);
     assert_eq!(get(daemon.addr, "/healthz", Duration::from_secs(5)).unwrap().status, 200);
+    assert_eq!(get(daemon.addr, "/prof", Duration::from_secs(5)).unwrap().status, 404);
     let stats = ok_json(&get(daemon.addr, "/serve", Duration::from_secs(5)).unwrap());
     assert_eq!(stats.get("dataset").and_then(Json::as_str), Some("mag"));
     assert_eq!(stats.get("checkpoints").and_then(Json::as_f64), Some(1.0));

@@ -16,7 +16,7 @@
 //!   returns one. After the first epoch every buffer in the cycle has
 //!   grown to its steady-state capacity, so subsequent epochs run the
 //!   whole forward/backward at zero matrix allocations — asserted by the
-//!   alloc-count gate in `crates/models/tests/prof_differential.rs`.
+//!   alloc-count gate in `crates/models/tests/arena_allocs.rs`.
 
 use std::cell::RefCell;
 
